@@ -158,14 +158,6 @@ Status DeserializeTupleInto(std::string_view data, const Schema& schema,
   return Status::OK();
 }
 
-Status DeserializeRecordsInto(const std::string_view* records, size_t count,
-                              const Schema& schema, Batch* batch,
-                              size_t start_row,
-                              const std::vector<uint8_t>* wanted) {
-  return DeserializeRecordsInto(records, sizeof(std::string_view), count,
-                                schema, batch, start_row, wanted);
-}
-
 Status DeserializeRecordsInto(const std::string_view* records,
                               size_t stride_bytes, size_t count,
                               const Schema& schema, Batch* batch,

@@ -87,17 +87,13 @@ Status DeserializeTupleInto(std::string_view data, const Schema& schema,
 /// skipped columns are nulled with one bulk store per batch instead of
 /// a per-row write, and kept fixed-width columns write through raw
 /// payload pointers — the preferred path for page-at-a-time scans.
-Status DeserializeRecordsInto(const std::string_view* records, size_t count,
-                              const Schema& schema, Batch* batch,
-                              size_t start_row,
-                              const std::vector<uint8_t>* wanted = nullptr);
-
-/// Strided variant for callers whose record views are embedded in a
-/// larger per-record struct (e.g. a heap scan's RecordView array):
-/// record `r` is read from `records + r * stride_bytes`, so the caller
-/// does not have to repack views into a dense array first. `stride_bytes`
-/// must be a multiple of alignof(std::string_view);
-/// `stride_bytes == sizeof(std::string_view)` is the dense case above.
+///
+/// Record views may be embedded in a larger per-record struct (e.g. a
+/// heap scan's RecordView array): record `r` is read from
+/// `records + r * stride_bytes`, so the caller does not have to repack
+/// views into a dense array first. `stride_bytes` must be a multiple of
+/// alignof(std::string_view); `sizeof(std::string_view)` is a dense
+/// array.
 Status DeserializeRecordsInto(const std::string_view* records,
                               size_t stride_bytes, size_t count,
                               const Schema& schema, Batch* batch,

@@ -21,7 +21,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace vdb::exec {
 
@@ -155,10 +154,6 @@ class Database {
   ExecMode exec_mode() const { return exec_mode_; }
 
   /// Per-query execution knobs, applied to every subsequent ExecutePlan.
-  /// num_threads > 1 runs eligible batch-engine pipelines morsel-parallel
-  /// (DESIGN.md §12) with results and simulated charges bit-identical to
-  /// the serial engine. Defaults from the VDB_EXEC_THREADS environment
-  /// variable at construction time; 1 otherwise.
   void set_query_options(const QueryOptions& options) {
     query_options_ = options;
   }
@@ -193,9 +188,6 @@ class Database {
   ExecMode exec_mode_ = ExecMode::kBatch;
   bool zone_maps_enabled_ = true;
   QueryOptions query_options_;
-  /// Lazily created batch-engine worker pool, sized to
-  /// query_options_.num_threads (absent while num_threads <= 1).
-  std::unique_ptr<util::ThreadPool> workers_;
 };
 
 }  // namespace vdb::exec

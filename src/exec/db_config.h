@@ -42,12 +42,6 @@ struct DbInstanceConfig {
 /// subsequent ExecutePlan. Distinct from DbInstanceConfig: these do not
 /// derive from the VM's resources, they select how the engine uses them.
 struct QueryOptions {
-  /// Worker threads for the batch engine's morsel-parallel operators.
-  /// 1 (the default) runs the serial code path, bit-identical to the
-  /// pre-parallel engine; values < 1 are treated as 1. The row engine
-  /// ignores this knob. Overridable at Database construction with the
-  /// VDB_EXEC_THREADS environment variable.
-  int num_threads = 1;
   /// Hard per-query resource limits enforced cooperatively inside both
   /// engines (budget.h). All-zero (the default) disables enforcement.
   QueryBudget budget;

@@ -89,7 +89,7 @@ class ExecutionContext final : public storage::IoListener {
   void Reset();
 
   /// Attaches a cooperative per-query budget (non-owning; nullptr
-  /// detaches). Executors poll it at batch / morsel / operator boundaries
+  /// detaches). Executors poll it at batch / operator boundaries
   /// (see budget.h); the context itself never reads it.
   void set_budget_guard(BudgetGuard* guard) { budget_guard_ = guard; }
   BudgetGuard* budget_guard() const { return budget_guard_; }

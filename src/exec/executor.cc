@@ -108,10 +108,10 @@ Result<std::vector<Tuple>> Executor::RunSeqScan(
   const double filter_ops = filter != nullptr ? filter->OpCount() : 0.0;
   BudgetGuard* const guard = context_->budget_guard();
   const storage::HeapFile& heap = *scan.table->heap;
-  // Page-wise scan sharing the zone-map prune decision with the batch and
-  // morsel engines (HeapFile::ComputePruneBitmap): a pruned page is
-  // skipped before the fetch, so it charges no I/O and never touches the
-  // buffer pool. With nothing prunable the charge sequence is identical
+  // Page-wise scan sharing the zone-map prune decision with the batch
+  // engine (HeapFile::ComputePruneBitmap): a pruned page is skipped
+  // before the fetch, so it charges no I/O and never touches the buffer
+  // pool. With nothing prunable the charge sequence is identical
   // to the historical record-iterator path: one sequential fetch per
   // page, then the per-record CPU charges of that page.
   std::vector<uint8_t> prune;

@@ -128,15 +128,6 @@ struct AggState {
 
   void Update(const plan::AggSpec& spec, const catalog::Value& v);
   catalog::Value Finalize(const plan::AggSpec& spec) const;
-
-  /// Folds `other` — the same aggregate accumulated over a *later* slice
-  /// of the input — into this state, as if this state had seen both
-  /// slices in order. Only valid for non-DISTINCT aggregates: DISTINCT
-  /// partials cannot be merged (the seen-set keys do not recover the
-  /// values a merged SUM would need), so the parallel aggregate keeps
-  /// DISTINCT plans on the serial path. Ties in MIN/MAX keep this
-  /// state's value, matching Update's first-seen-wins order.
-  void Merge(const AggState& other);
 };
 
 catalog::Tuple ConcatRows(const catalog::Tuple& left,

@@ -146,9 +146,8 @@ Result<std::vector<GraceEmit>> GraceHashJoin(ExecutionContext* context,
                                              SpillManager* spill,
                                              const GraceJoinSpec& spec);
 
-// --- Hash-aggregate spill accounting (integer, so the row engine, the
-// serial batch engine, and the morsel coordinator — which only sees
-// per-morsel totals — compute the identical trigger and charge).
+// --- Hash-aggregate spill accounting (integer, so the row engine and the
+// batch engine compute the identical trigger and charge).
 
 struct AggSpillStats {
   uint64_t groups = 0;

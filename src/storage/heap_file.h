@@ -87,8 +87,7 @@ class HeapFile {
   /// with views of its live records, backed by `storage` (the raw page
   /// bytes, reused across calls — views stay valid until the next call).
   /// Returns false once `page_index` is past the last page. Used by the
-  /// morsel coordinator, which needs self-contained page bytes to hand
-  /// to workers.
+  /// row executor's sequential scan.
   Result<bool> ReadPageForScan(size_t page_index, std::string* storage,
                                std::vector<RecordView>* out) const;
 
@@ -177,8 +176,8 @@ class HeapFile {
   /// Evaluates `spec` against every page's zone entry: out[i] is true when
   /// page i provably holds no qualifying row and can be skipped without a
   /// fetch. This is the single pruning decision point shared by the row
-  /// executor, the serial batch scan, and the morsel coordinator, so all
-  /// engines skip exactly the same pages.
+  /// executor and the batch scan, so both engines skip exactly the same
+  /// pages.
   std::vector<uint8_t> ComputePruneBitmap(const ScanPruneSpec& spec) const;
 
  private:

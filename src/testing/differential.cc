@@ -121,19 +121,16 @@ std::string CompareRowSets(std::vector<Tuple> engine,
 }
 
 /// Compares the simulated charges of two cold-cache runs of one query.
-/// `bitwise` demands exact equality — serial and morsel-parallel batch
-/// runs replay the identical charge sequence, so any difference is a bug.
-/// Otherwise doubles may differ by float rounding between the row engine's
-/// per-row charges and the batch engine's per-batch lump sums, but
-/// physical reads stay exact either way.
+/// Doubles may differ by float rounding between the row engine's per-row
+/// charges and the batch engine's per-batch lump sums, but physical reads
+/// stay exact.
 std::string CompareCharges(const exec::QueryResult& a,
-                           const exec::QueryResult& b, bool bitwise) {
+                           const exec::QueryResult& b) {
   if (a.physical_reads != b.physical_reads) {
     return "physical_reads differ: " + std::to_string(a.physical_reads) +
            " vs " + std::to_string(b.physical_reads);
   }
-  const auto close = [bitwise](double x, double y) {
-    if (bitwise) return x == y;
+  const auto close = [](double x, double y) {
     return std::fabs(x - y) <=
            1e-12 + 1e-9 * std::max(std::fabs(x), std::fabs(y));
   };
@@ -274,21 +271,15 @@ CheckResult CheckQuery(exec::Database* db, const sim::VirtualMachine& vm,
     // Each run starts cold so buffer-pool state cannot explain a charge
     // difference.
     const exec::ExecMode original = db->exec_mode();
-    const exec::QueryOptions saved_options = db->query_options();
-    const auto run_cold = [&](exec::ExecMode mode, int threads) {
+    const auto run_cold = [&](exec::ExecMode mode) {
       db->set_exec_mode(mode);
-      exec::QueryOptions options = saved_options;
-      options.num_threads = threads;
-      db->set_query_options(options);
       (void)db->DropCaches();
       Result<exec::QueryResult> result = db->Execute(sql, vm);
-      db->set_query_options(saved_options);
       db->set_exec_mode(original);
       return result;
     };
     const auto check_against = [&](const Result<exec::QueryResult>& a,
-                                   const exec::QueryResult& b,
-                                   bool bitwise) -> std::string {
+                                   const exec::QueryResult& b) -> std::string {
       if (!a.ok()) {
         if (a.status().IsNotSupported()) return "";
         return "other engine failed: " + a.status().message();
@@ -297,26 +288,17 @@ CheckResult CheckQuery(exec::Database* db, const sim::VirtualMachine& vm,
       if (d.empty() && !query.sort_columns.empty()) {
         d = CheckSorted(a->rows, query.sort_columns);
       }
-      if (d.empty()) d = CompareCharges(*a, b, bitwise);
+      if (d.empty()) d = CompareCharges(*a, b);
       return d;
     };
 
-    Result<exec::QueryResult> batch = run_cold(exec::ExecMode::kBatch, 1);
+    Result<exec::QueryResult> batch = run_cold(exec::ExecMode::kBatch);
     if (batch.ok()) {
-      Result<exec::QueryResult> row = run_cold(exec::ExecMode::kRow, 1);
-      diff = check_against(row, *batch, /*bitwise=*/false);
+      Result<exec::QueryResult> row = run_cold(exec::ExecMode::kRow);
+      diff = check_against(row, *batch);
       if (!diff.empty()) {
         return {Outcome::kMismatch,
                 "row vs batch engines disagree: " + diff};
-      }
-      // Serial vs morsel-parallel batch runs replay the exact same charge
-      // sequence, so everything must match bitwise.
-      Result<exec::QueryResult> parallel =
-          run_cold(exec::ExecMode::kBatch, 4);
-      diff = check_against(parallel, *batch, /*bitwise=*/true);
-      if (!diff.empty()) {
-        return {Outcome::kMismatch,
-                "serial vs parallel batch engines disagree: " + diff};
       }
     } else if (!batch.status().IsNotSupported()) {
       return {Outcome::kMismatch,

@@ -16,7 +16,10 @@
 
 namespace vdb::util {
 
-/// A fixed-size worker pool with a futures-style Submit API.
+/// A fixed-size worker pool with a futures-style Submit API. The
+/// multi-tenant server runs its query workers on one, and the design
+/// search fans what-if probes out over one; a single query never uses a
+/// pool (query execution is single-threaded).
 ///
 /// Tasks run in FIFO submission order (each on whichever worker frees up
 /// first). The pool joins all workers on destruction after draining the

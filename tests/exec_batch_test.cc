@@ -2,9 +2,13 @@
 // (null maps, selection vectors, empty batches) and cross-checks the
 // BatchExecutor against the row-at-a-time Executor on the cases where
 // batching is easiest to get wrong — LIMIT 0, LIMIT crossing a batch
-// boundary, string payloads crossing batches in Sort and MergeJoin, and
-// filters that leave whole batches empty mid-stream.
+// boundary, string payloads crossing batches in Sort and MergeJoin,
+// filters that leave whole batches empty mid-stream, empty tables, hash
+// joins with an empty build side, semi/anti probes, and aggregates with
+// thousands of groups or DISTINCT arguments.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -149,6 +153,11 @@ TEST(BatchTest, AllNullColumnComparesToNullAndFiltersEverything) {
 // kTableRows > 2 * Batch::kDefaultRows so every streaming operator sees
 // multiple batches, including a final partial one.
 constexpr int64_t kTableRows = 2600;
+// The edge tables (CreateEdgeTables): `big` is large enough for more than
+// 4096 groups and ends in a partial batch (6500 = 6 * 1024 + 356);
+// `small` is a 50-row build side; `nothing` is empty.
+constexpr int64_t kBigRows = 6500;
+constexpr int64_t kSmallRows = 50;
 
 class BatchEngineTest : public ::testing::Test {
  protected:
@@ -178,17 +187,70 @@ class BatchEngineTest : public ::testing::Test {
     VDB_CHECK_OK(db_.catalog()->AnalyzeAll());
   }
 
-  // Runs `sql` on both engines and requires identical rows in identical
-  // order. Returns the batch engine's rows.
-  std::vector<Tuple> RunBoth(const std::string& sql) {
-    db_.set_exec_mode(ExecMode::kBatch);
-    auto batch = db_.Execute(sql, vm_);
-    VDB_CHECK(batch.ok()) << batch.status();
-    db_.set_exec_mode(ExecMode::kRow);
-    auto row = db_.Execute(sql, vm_);
-    VDB_CHECK(row.ok()) << row.status();
-    EXPECT_EQ(Render(batch->rows), Render(row->rows)) << "for: " << sql;
-    return std::move(batch->rows);
+  // Adds the `big`, `small` and `nothing` tables. Only the tests that use
+  // them pay for the 6500 inserts.
+  void CreateEdgeTables() {
+    auto big = db_.catalog()->CreateTable(
+        "big", Schema({Column("id", TypeId::kInt64),
+                       Column("name", TypeId::kString),
+                       Column("grp", TypeId::kInt64),
+                       Column("val", TypeId::kDouble)}));
+    VDB_CHECK(big.ok());
+    for (int64_t id = 0; id < kBigRows; ++id) {
+      // Variable-length names shift record boundaries across pages.
+      std::string name = "n" + std::string(1 + id % 9, 'x') +
+                         std::to_string(id % 131);
+      Value val = (id % 7 == 0) ? Value::Null(TypeId::kDouble)
+                                : Value::Double(static_cast<double>(id) / 3);
+      VDB_CHECK_OK(db_.catalog()->Insert(
+          *big, Tuple{Value::Int64(id), Value::String(std::move(name)),
+                      Value::Int64(id % 17), std::move(val)}));
+    }
+    auto small = db_.catalog()->CreateTable(
+        "small", Schema({Column("id", TypeId::kInt64),
+                         Column("tag", TypeId::kString)}));
+    VDB_CHECK(small.ok());
+    for (int64_t id = 0; id < kSmallRows; ++id) {
+      VDB_CHECK_OK(db_.catalog()->Insert(
+          *small, Tuple{Value::Int64(id),
+                        Value::String("tag" + std::to_string(id))}));
+    }
+    auto nothing = db_.catalog()->CreateTable(
+        "nothing", Schema({Column("id", TypeId::kInt64),
+                           Column("val", TypeId::kDouble)}));
+    VDB_CHECK(nothing.ok());
+    VDB_CHECK_OK(db_.catalog()->AnalyzeAll());
+  }
+
+  QueryResult RunCold(ExecMode mode, const std::string& sql) {
+    db_.set_exec_mode(mode);
+    VDB_CHECK_OK(db_.DropCaches());
+    auto result = db_.Execute(sql, vm_);
+    VDB_CHECK(result.ok()) << sql << ": " << result.status();
+    return *std::move(result);
+  }
+
+  // Runs `sql` cold on both engines and requires identical rows in
+  // identical order, identical physical reads, and simulated charges equal
+  // up to float rounding (the batch engine sums per-batch lumps of the
+  // row engine's per-row charges). Returns the batch engine's result.
+  QueryResult RunBoth(const std::string& sql) {
+    QueryResult batch = RunCold(ExecMode::kBatch, sql);
+    const QueryResult row = RunCold(ExecMode::kRow, sql);
+    EXPECT_EQ(Render(batch.rows), Render(row.rows)) << sql;
+    EXPECT_EQ(batch.physical_reads, row.physical_reads) << sql;
+    const auto near = [](double x, double y) {
+      return std::fabs(x - y) <=
+             1e-12 + 1e-9 * std::max(std::fabs(x), std::fabs(y));
+    };
+    EXPECT_TRUE(near(batch.cpu_seconds, row.cpu_seconds))
+        << sql << ": cpu " << batch.cpu_seconds << " vs " << row.cpu_seconds;
+    EXPECT_TRUE(near(batch.io_seconds, row.io_seconds))
+        << sql << ": io " << batch.io_seconds << " vs " << row.io_seconds;
+    EXPECT_TRUE(near(batch.elapsed_seconds, row.elapsed_seconds))
+        << sql << ": elapsed " << batch.elapsed_seconds << " vs "
+        << row.elapsed_seconds;
+    return batch;
   }
 
   static std::vector<std::string> Render(const std::vector<Tuple>& rows) {
@@ -211,19 +273,19 @@ class BatchEngineTest : public ::testing::Test {
 };
 
 TEST_F(BatchEngineTest, LimitZeroProducesNoRows) {
-  EXPECT_TRUE(RunBoth("SELECT id FROM t LIMIT 0").empty());
-  EXPECT_TRUE(RunBoth("SELECT id FROM t ORDER BY name LIMIT 0").empty());
+  EXPECT_TRUE(RunBoth("SELECT id FROM t LIMIT 0").rows.empty());
+  EXPECT_TRUE(RunBoth("SELECT id FROM t ORDER BY name LIMIT 0").rows.empty());
 }
 
 TEST_F(BatchEngineTest, LimitCrossingBatchBoundary) {
   // 1500 rows spans one full 1024-row batch plus a partial second one.
-  auto rows = RunBoth("SELECT id FROM t LIMIT 1500");
+  auto rows = RunBoth("SELECT id FROM t LIMIT 1500").rows;
   ASSERT_EQ(rows.size(), 1500u);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0], Value::Int64(static_cast<int64_t>(i)));
   }
   // Exactly one batch plus one row.
-  EXPECT_EQ(RunBoth("SELECT id FROM t LIMIT 1025").size(), 1025u);
+  EXPECT_EQ(RunBoth("SELECT id FROM t LIMIT 1025").rows.size(), 1025u);
 }
 
 TEST_F(BatchEngineTest, LimitChargesMatchRowEngineExactly) {
@@ -265,19 +327,128 @@ TEST_F(BatchEngineTest, EmptyBatchesPropagateThroughTheTree) {
   // Only the tail of the table matches: every earlier batch reaches the
   // filter and leaves it with zero active rows, and downstream operators
   // must keep pulling.
-  auto tail = RunBoth("SELECT id FROM t WHERE id >= 2500 ORDER BY id");
+  auto tail = RunBoth("SELECT id FROM t WHERE id >= 2500 ORDER BY id").rows;
   ASSERT_EQ(tail.size(), static_cast<size_t>(kTableRows - 2500));
   EXPECT_EQ(tail.front()[0], Value::Int64(2500));
   // Nothing matches at all.
-  EXPECT_TRUE(RunBoth("SELECT id FROM t WHERE val < 0.0").empty());
+  EXPECT_TRUE(RunBoth("SELECT id FROM t WHERE val < 0.0").rows.empty());
   // An aggregate over zero rows still yields its one global row.
-  auto counted = RunBoth("SELECT COUNT(*) FROM t WHERE val < 0.0");
+  auto counted = RunBoth("SELECT COUNT(*) FROM t WHERE val < 0.0").rows;
   ASSERT_EQ(counted.size(), 1u);
   EXPECT_EQ(counted[0][0], Value::Int64(0));
 }
 
+TEST_F(BatchEngineTest, EmptyTableChargesNothing) {
+  CreateEdgeTables();
+  for (const char* sql :
+       {"SELECT id FROM nothing", "SELECT id FROM nothing WHERE val > 0.0"}) {
+    const QueryResult result = RunBoth(sql);
+    EXPECT_TRUE(result.rows.empty()) << sql;
+    EXPECT_EQ(result.physical_reads, 0u) << sql;
+    EXPECT_EQ(result.cpu_seconds, 0.0) << sql;
+    EXPECT_EQ(result.io_seconds, 0.0) << sql;
+  }
+  const QueryResult counted = RunBoth("SELECT COUNT(*) FROM nothing");
+  ASSERT_EQ(counted.rows.size(), 1u);
+  EXPECT_EQ(counted.rows[0][0], Value::Int64(0));
+  EXPECT_EQ(counted.physical_reads, 0u);
+}
+
+TEST_F(BatchEngineTest, ScanFilterProjectAcrossBatchBoundaries) {
+  // 6500 rows end mid-batch.
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT id, name, val FROM big").rows.size(),
+            static_cast<size_t>(kBigRows));
+  EXPECT_EQ(RunBoth("SELECT id FROM big WHERE grp = 3").rows.size(), 383u);
+  EXPECT_EQ(
+      RunBoth("SELECT id + grp, val * 2.0 FROM big WHERE id % 5 = 1")
+          .rows.size(),
+      1300u);
+}
+
+TEST_F(BatchEngineTest, HashJoinProbeAcrossUnalignedBatches) {
+  // Inner and LEFT hash joins probing across batch boundaries, with a
+  // residual predicate charged per key-equal match.
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT b.id, s.tag FROM big b, small s "
+                    "WHERE b.grp = s.id AND b.id > s.id * 10 ORDER BY b.id")
+                .rows.size(),
+            6419u);
+  EXPECT_EQ(RunBoth("SELECT b.id, s.tag FROM big b LEFT JOIN small s "
+                    "ON b.grp = s.id AND s.id > 8 ORDER BY b.id, s.tag")
+                .rows.size(),
+            static_cast<size_t>(kBigRows));
+}
+
+TEST_F(BatchEngineTest, HashJoinProbeWithEmptyBuildSide) {
+  // The inner join plans as a nested loop and emits nothing; the LEFT
+  // hash join probes every row against an empty build table and pads
+  // each with NULLs.
+  CreateEdgeTables();
+  EXPECT_TRUE(
+      RunBoth("SELECT b.id, n.val FROM big b, nothing n WHERE b.id = n.id")
+          .rows.empty());
+  EXPECT_EQ(RunBoth("SELECT b.id, n.val FROM big b LEFT JOIN nothing n "
+                    "ON b.id = n.id ORDER BY b.id")
+                .rows.size(),
+            static_cast<size_t>(kBigRows));
+}
+
+TEST_F(BatchEngineTest, SemiAndAntiJoinProbesMatchRowEngine) {
+  // SEMI / ANTI hash-join probes stop at the first passing match.
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT id FROM big b WHERE EXISTS (SELECT 1 FROM "
+                    "small s WHERE s.id = b.grp AND s.id < 10) ORDER BY id")
+                .rows.size(),
+            3826u);
+  EXPECT_EQ(RunBoth("SELECT id FROM big b WHERE NOT EXISTS (SELECT 1 FROM "
+                    "small s WHERE s.id = b.grp AND s.id > 5) ORDER BY id")
+                .rows.size(),
+            2298u);
+  EXPECT_EQ(RunBoth("SELECT id FROM big WHERE grp NOT IN "
+                    "(SELECT id FROM small WHERE id < 10) ORDER BY id")
+                .rows.size(),
+            2674u);
+}
+
+TEST_F(BatchEngineTest, JoinsAndOrderByMatchRowEngine) {
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT b.id, s.tag FROM big b, small s "
+                    "WHERE b.grp = s.id ORDER BY b.id")
+                .rows.size(),
+            static_cast<size_t>(kBigRows));
+  EXPECT_EQ(
+      RunBoth("SELECT name, val FROM big ORDER BY name, id LIMIT 100")
+          .rows.size(),
+      100u);
+}
+
+TEST_F(BatchEngineTest, WideGroupAggregateMatchesRowEngine) {
+  // More than 4096 groups.
+  CreateEdgeTables();
+  EXPECT_EQ(
+      RunBoth("SELECT id, COUNT(*), SUM(val) FROM big GROUP BY id").rows.size(),
+      static_cast<size_t>(kBigRows));
+}
+
+TEST_F(BatchEngineTest, DistinctAggregatesMatchRowEngine) {
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT COUNT(DISTINCT grp) FROM big").rows.size(), 1u);
+  EXPECT_EQ(
+      RunBoth("SELECT grp, COUNT(DISTINCT name) FROM big GROUP BY grp")
+          .rows.size(),
+      17u);
+}
+
+TEST_F(BatchEngineTest, DistinctWideGroupMatchesRowEngine) {
+  CreateEdgeTables();
+  EXPECT_EQ(RunBoth("SELECT id, COUNT(DISTINCT name) FROM big GROUP BY id")
+                .rows.size(),
+            static_cast<size_t>(kBigRows));
+}
+
 TEST_F(BatchEngineTest, SortStringsAcrossBatches) {
-  auto rows = RunBoth("SELECT name, id FROM t ORDER BY name, id");
+  auto rows = RunBoth("SELECT name, id FROM t ORDER BY name, id").rows;
   ASSERT_EQ(rows.size(), static_cast<size_t>(kTableRows));
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LE(rows[i - 1][0].AsString(), rows[i][0].AsString())
@@ -286,9 +457,10 @@ TEST_F(BatchEngineTest, SortStringsAcrossBatches) {
 }
 
 TEST_F(BatchEngineTest, AggregatesWithNullsMatchRowEngine) {
-  auto rows = RunBoth(
+  const std::string sql =
       "SELECT grp, COUNT(*), SUM(val), MIN(name) FROM t GROUP BY grp "
-      "ORDER BY grp");
+      "ORDER BY grp";
+  auto rows = RunBoth(sql).rows;
   EXPECT_EQ(rows.size(), 13u);
   RunBoth("SELECT grp, AVG(val) FROM t GROUP BY grp ORDER BY grp");
 }

@@ -80,14 +80,10 @@ class SpillTest : public ::testing::Test {
     VDB_CHECK_OK(db->catalog()->AnalyzeAll());
   }
 
-  // Cold run: fixed engine/threads, caches dropped, so repeated runs of
-  // the same query are bit-reproducible.
-  QueryResult RunCold(Database* db, ExecMode mode, int threads,
-                      const std::string& sql) {
+  // Cold run: fixed engine, caches dropped, so repeated runs of the same
+  // query are bit-reproducible.
+  QueryResult RunCold(Database* db, ExecMode mode, const std::string& sql) {
     db->set_exec_mode(mode);
-    QueryOptions options;
-    options.num_threads = threads;
-    db->set_query_options(options);
     VDB_CHECK_OK(db->DropCaches());
     auto result = db->Execute(sql, vm_);
     VDB_CHECK(result.ok()) << sql << ": " << result.status();
@@ -111,8 +107,8 @@ class SpillTest : public ::testing::Test {
   // (FP summation order differs), identical physical reads.
   void ExpectEnginesAgree(Database* db, const std::string& sql,
                           size_t expect_rows) {
-    const QueryResult row = RunCold(db, ExecMode::kRow, 1, sql);
-    const QueryResult batch = RunCold(db, ExecMode::kBatch, 1, sql);
+    const QueryResult row = RunCold(db, ExecMode::kRow, sql);
+    const QueryResult batch = RunCold(db, ExecMode::kBatch, sql);
     EXPECT_EQ(row.rows.size(), expect_rows) << sql;
     EXPECT_EQ(RowStrings(row), RowStrings(batch)) << sql;
     ExpectNear(row.cpu_seconds, batch.cpu_seconds, "cpu_seconds");
@@ -172,13 +168,12 @@ TEST_F(SpillTest, SortAboveTriggerSpillsBelowTriggerDoesNot) {
   ASSERT_NE(spill, nullptr);
 
   uint64_t before = spill->files_created();
-  RunCold(&db_, ExecMode::kRow, 1,
-          "SELECT id, pad FROM big ORDER BY val, id");
+  RunCold(&db_, ExecMode::kRow, "SELECT id, pad FROM big ORDER BY val, id");
   EXPECT_GT(spill->files_created(), before) << "full-table sort must spill";
   EXPECT_EQ(spill->live_files(), 0u) << "completed query leaked files";
 
   before = spill->files_created();
-  RunCold(&db_, ExecMode::kRow, 1,
+  RunCold(&db_, ExecMode::kRow,
           "SELECT id, pad FROM big WHERE id < 200 ORDER BY val, id");
   EXPECT_EQ(spill->files_created(), before)
       << "200-row sort fits in work_mem and must not spill";
@@ -189,26 +184,23 @@ TEST_F(SpillTest, JoinAndAggregateSpill) {
   ASSERT_NE(spill, nullptr);
 
   uint64_t before = spill->files_created();
-  RunCold(&db_, ExecMode::kRow, 1,
+  RunCold(&db_, ExecMode::kRow,
           "SELECT a.id FROM big a JOIN big b ON a.id = b.id");
   EXPECT_GT(spill->files_created(), before)
       << "self-join build side exceeds work_mem and must spill";
   EXPECT_EQ(spill->live_files(), 0u);
 
   before = spill->files_created();
-  RunCold(&db_, ExecMode::kRow, 1,
-          "SELECT id, SUM(val) FROM big GROUP BY id");
+  RunCold(&db_, ExecMode::kRow, "SELECT id, SUM(val) FROM big GROUP BY id");
   EXPECT_GT(spill->files_created(), before)
       << "5000-group aggregate state exceeds work_mem and must spill";
   EXPECT_EQ(spill->live_files(), 0u);
 
-  // The batch engine's aggregate spill is charge-only (the morsel
-  // coordinator sees per-morsel totals, not a shared hash table), so the
-  // same query creates no files there — but see the parity tests below:
-  // its charges still match the row engine's.
+  // The batch engine's aggregate spill is charge-only, so the same query
+  // creates no files there — but see the parity tests below: its charges
+  // still match the row engine's.
   before = spill->files_created();
-  RunCold(&db_, ExecMode::kBatch, 1,
-          "SELECT id, SUM(val) FROM big GROUP BY id");
+  RunCold(&db_, ExecMode::kBatch, "SELECT id, SUM(val) FROM big GROUP BY id");
   EXPECT_EQ(spill->files_created(), before);
 }
 
@@ -249,17 +241,6 @@ TEST_F(SpillTest, SpillingAggregateMatchesAcrossEngines) {
                      37);
 }
 
-TEST_F(SpillTest, ParallelBatchBitwiseMatchesSerial) {
-  const std::string sql =
-      "SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp ORDER BY grp";
-  const QueryResult serial = RunCold(&db_, ExecMode::kBatch, 1, sql);
-  const QueryResult parallel = RunCold(&db_, ExecMode::kBatch, 3, sql);
-  EXPECT_EQ(RowStrings(serial), RowStrings(parallel));
-  EXPECT_EQ(serial.cpu_seconds, parallel.cpu_seconds);
-  EXPECT_EQ(serial.io_seconds, parallel.io_seconds);
-  EXPECT_EQ(serial.physical_reads, parallel.physical_reads);
-}
-
 // --- VDB_SPILL=off: the charge-only model is bit-identical ------------------
 
 TEST_F(SpillTest, SpillOffDatabaseMatchesBitwise) {
@@ -277,8 +258,8 @@ TEST_F(SpillTest, SpillOffDatabaseMatchesBitwise) {
   };
   for (const std::string& sql : queries) {
     for (const ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-      const QueryResult with = RunCold(&db_, mode, 1, sql);
-      const QueryResult without = RunCold(&off_db, mode, 1, sql);
+      const QueryResult with = RunCold(&db_, mode, sql);
+      const QueryResult without = RunCold(&off_db, mode, sql);
       EXPECT_EQ(RowStrings(with), RowStrings(without)) << sql;
       // Same engine, same data, spill mechanism on vs off: charges must
       // be *bitwise* equal — that is the charge-parity contract.
@@ -299,7 +280,7 @@ TEST_F(SpillTest, BudgetAbortDuringSpillingJoinLeaksNothing) {
   // Calibrate: simulated charges are deterministic, so half the full
   // query's CPU bill aborts mid-probe (the 5000-row probe loop polls the
   // budget every 4096 rows, after partitioning already created files).
-  const QueryResult full = RunCold(&db_, ExecMode::kRow, 1, sql);
+  const QueryResult full = RunCold(&db_, ExecMode::kRow, sql);
 
   db_.set_exec_mode(ExecMode::kRow);
   QueryOptions options;
