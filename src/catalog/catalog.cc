@@ -1,8 +1,9 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <functional>
 
+#include "catalog/batch.h"
 #include "catalog/wal_payloads.h"
 #include "util/string_util.h"
 
@@ -19,6 +20,30 @@ Result<int64_t> IndexKeyFromValue(const Value& value) {
   }
   return value.AsInt64();
 }
+
+namespace {
+
+std::vector<TypeId> ColumnTypes(const Schema& schema) {
+  std::vector<TypeId> types;
+  types.reserve(schema.NumColumns());
+  for (size_t i = 0; i < schema.NumColumns(); ++i) {
+    types.push_back(schema.column(i).type);
+  }
+  return types;
+}
+
+// Decodes one heap page's records into rows 0.. of `batch` (`wanted` as
+// in DeserializeRecordsInto).
+Status DecodePage(const std::vector<storage::HeapFile::RecordView>& records,
+                  const Schema& schema, const std::vector<TypeId>& types,
+                  const std::vector<uint8_t>* wanted, Batch* batch) {
+  batch->Reset(types, records.size());
+  return DeserializeRecordsInto(&records[0].data,
+                                sizeof(storage::HeapFile::RecordView),
+                                records.size(), schema, batch, 0, wanted);
+}
+
+}  // namespace
 
 std::vector<storage::ZoneSample> ComputeZoneSamples(const Tuple& tuple) {
   std::vector<storage::ZoneSample> samples;
@@ -104,14 +129,29 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
   index->table = table;
   index->column_index = column_index;
   index->tree = std::make_unique<storage::BPlusTree>(disk_, pool_);
-  // Back-fill from existing rows.
-  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
-    VDB_ASSIGN_OR_RETURN(Tuple tuple,
-                         DeserializeTuple(it.record(), table->schema));
-    const Value& value = tuple[column_index];
-    if (value.is_null()) continue;
-    VDB_ASSIGN_OR_RETURN(int64_t key, IndexKeyFromValue(value));
-    VDB_RETURN_NOT_OK(index->tree->Insert(key, it.rid().Pack()));
+  // Back-fill from existing rows, page at a time, decoding only the key
+  // column. The copying page read unpins each heap page before its keys
+  // go into the tree, as a row-at-a-time scan does, so the tree's fetches
+  // meet the same unpinned frames and the pool evicts the same pages.
+  std::vector<uint8_t> wanted(table->schema.NumColumns(), 0);
+  wanted[column_index] = 1;
+  const std::vector<TypeId> types = ColumnTypes(table->schema);
+  std::string page_bytes;
+  std::vector<storage::HeapFile::RecordView> records;
+  Batch batch;
+  for (size_t page = 0;; ++page) {
+    VDB_ASSIGN_OR_RETURN(
+        bool more, table->heap->ReadPageForScan(page, &page_bytes, &records));
+    if (!more) break;
+    if (records.empty()) continue;
+    VDB_RETURN_NOT_OK(DecodePage(records, table->schema, types, &wanted,
+                                 &batch));
+    const ValueVector& keys = batch.columns[column_index];
+    for (size_t r = 0; r < records.size(); ++r) {
+      if (keys.IsNull(r)) continue;
+      VDB_RETURN_NOT_OK(
+          index->tree->Insert(keys.GetInt64(r), records[r].rid.Pack()));
+    }
   }
   indexes_.push_back(std::move(index));
   table->indexes.push_back(indexes_.back().get());
@@ -181,38 +221,77 @@ Status Catalog::Delete(TableInfo* table, storage::RecordId rid) {
 }
 
 Status Catalog::Analyze(TableInfo* table, int histogram_buckets) {
-  const size_t num_columns = table->schema.NumColumns();
+  const Schema& schema = table->schema;
+  const size_t num_columns = schema.NumColumns();
   std::vector<ColumnStats> stats(num_columns);
   std::vector<std::vector<double>> keys(num_columns);
-  std::vector<std::unordered_set<size_t>> distinct(num_columns);
+  std::vector<std::vector<size_t>> hashes(num_columns);
   std::vector<double> width_sums(num_columns, 0.0);
+  for (size_t c = 0; c < num_columns; ++c) {
+    keys[c].reserve(table->heap->NumRecords());
+    hashes[c].reserve(table->heap->NumRecords());
+  }
   uint64_t rows = 0;
 
-  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
-    VDB_ASSIGN_OR_RETURN(Tuple tuple,
-                         DeserializeTuple(it.record(), table->schema));
-    ++rows;
+  // Page at a time, column by column. Each column's keys, hashes and
+  // width sums still arrive in heap order, so minmax, the histogram and
+  // the floating-point width sum see the sequence a row-at-a-time pass
+  // sees. Keys and hashes match Value::NumericKey and Value::Hash.
+  const std::vector<TypeId> types = ColumnTypes(schema);
+  storage::HeapFile::ScanPagePin pin;
+  std::vector<storage::HeapFile::RecordView> records;
+  Batch batch;
+  for (size_t page = 0;; ++page) {
+    VDB_ASSIGN_OR_RETURN(
+        bool more, table->heap->ReadPageForScanPinned(page, &pin, &records));
+    if (!more) break;
+    if (records.empty()) continue;
+    VDB_RETURN_NOT_OK(DecodePage(records, schema, types, nullptr, &batch));
+    rows += records.size();
     for (size_t c = 0; c < num_columns; ++c) {
-      const Value& value = tuple[c];
-      if (value.is_null()) {
-        stats[c].null_count++;
-        continue;
-      }
-      stats[c].non_null_count++;
-      const double key = value.NumericKey();
-      keys[c].push_back(key);
-      distinct[c].insert(value.Hash());
-      if (value.type() == TypeId::kString) {
-        width_sums[c] += static_cast<double>(value.AsString().size());
-      } else {
-        width_sums[c] += 8.0;
+      const ValueVector& column = batch.columns[c];
+      for (size_t r = 0; r < records.size(); ++r) {
+        if (column.IsNull(r)) {
+          stats[c].null_count++;
+          continue;
+        }
+        stats[c].non_null_count++;
+        switch (types[c]) {
+          case TypeId::kString: {
+            const std::string& s = column.GetString(r);
+            keys[c].push_back(StringNumericKey(s));
+            hashes[c].push_back(std::hash<std::string>{}(s));
+            width_sums[c] += static_cast<double>(s.size());
+            break;
+          }
+          case TypeId::kDouble: {
+            const double d = column.GetDouble(r);
+            keys[c].push_back(d);
+            hashes[c].push_back(std::hash<double>{}(d));
+            width_sums[c] += 8.0;
+            break;
+          }
+          default: {
+            // Bool is boxed as true/false, so its key and hash are 0 or 1.
+            int64_t v = column.GetInt64(r);
+            if (types[c] == TypeId::kBool) v = v != 0 ? 1 : 0;
+            keys[c].push_back(static_cast<double>(v));
+            hashes[c].push_back(std::hash<int64_t>{}(v));
+            width_sums[c] += 8.0;
+            break;
+          }
+        }
       }
     }
   }
 
   for (size_t c = 0; c < num_columns; ++c) {
     ColumnStats& cs = stats[c];
-    cs.ndv = distinct[c].size();
+    // Distinct hash values, as a hash set of them would count.
+    std::vector<size_t>& h = hashes[c];
+    std::sort(h.begin(), h.end());
+    cs.ndv = static_cast<uint64_t>(std::unique(h.begin(), h.end()) -
+                                   h.begin());
     if (!keys[c].empty()) {
       const auto [mn, mx] =
           std::minmax_element(keys[c].begin(), keys[c].end());

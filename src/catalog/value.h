@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "util/result.h"
@@ -35,6 +36,10 @@ std::string DateToString(int64_t days);
 
 /// Parses "YYYY-MM-DD". Fails with InvalidArgument on malformed input.
 Result<int64_t> ParseDate(const std::string& text);
+
+/// The NumericKey of a string value: its first 8 bytes read as a
+/// big-endian fraction in [0, 1).
+double StringNumericKey(std::string_view s);
 
 /// A single SQL value: a typed scalar or NULL.
 class Value {
@@ -82,7 +87,8 @@ class Value {
   }
 
   /// Maps the value onto a double axis for histogram/selectivity math.
-  /// Strings map via their first 8 bytes (big-endian), preserving order.
+  /// Strings map via their first 8 bytes (big-endian), preserving order
+  /// (StringNumericKey).
   double NumericKey() const;
 
   std::string ToString() const;

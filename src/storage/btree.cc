@@ -1,6 +1,7 @@
 #include "storage/btree.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -28,9 +29,10 @@ constexpr uint64_t kChildrenOff = kKeysOff + 8 * kInternalCapacity;
 static_assert(kLeafValuesOff + 8 * kLeafCapacity <= kPageSize);
 static_assert(kChildrenOff + 8 * (kInternalCapacity + 1) <= kPageSize);
 
-// In-memory image of a node; nodes are read into this, modified, and
-// written back. Simpler and safer than in-place byte surgery, and the
-// simulator charges I/O per page, not per byte.
+// In-memory image of a node, used only by splits (a split rewrites both
+// halves anyway). Store writes the live prefix of each array and leaves
+// the bytes past it as they were, so stale keys and values stay on the
+// page exactly as the in-place operations below leave them.
 struct NodeView {
   bool is_leaf = true;
   std::vector<int64_t> keys;
@@ -78,6 +80,48 @@ struct NodeView {
   }
 };
 
+// In-place accessors on a node page. Descents, non-splitting leaf inserts
+// and deletes work on the page bytes directly instead of copying the node
+// out and back.
+bool IsLeaf(const Page& page) {
+  return page.ReadAt<uint16_t>(kIsLeafOff) != 0;
+}
+uint16_t NumKeys(const Page& page) {
+  return page.ReadAt<uint16_t>(kNumKeysOff);
+}
+int64_t KeyAt(const Page& page, size_t i) {
+  return page.ReadAt<int64_t>(kKeysOff + 8ULL * i);
+}
+uint64_t LeafValueAt(const Page& page, size_t i) {
+  return page.ReadAt<uint64_t>(kLeafValuesOff + 8ULL * i);
+}
+PageId ChildAt(const Page& page, size_t i) {
+  return page.ReadAt<uint64_t>(kChildrenOff + 8ULL * i);
+}
+PageId NextLeaf(const Page& page) {
+  return page.ReadAt<uint64_t>(kNextLeafOff);
+}
+
+// Binary search over the node's keys: the first index whose key is > `key`
+// (kUpper, the insertion descend: equal keys go right) or >= `key`
+// (!kUpper, the search descend: equal keys go left). Same partition point
+// as std::upper_bound / std::lower_bound.
+template <bool kUpper>
+size_t Bound(const Page& page, int64_t key) {
+  size_t lo = 0;
+  size_t hi = NumKeys(page);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const int64_t k = KeyAt(page, mid);
+    if (kUpper ? k <= key : k < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 BPlusTree::BPlusTree(DiskManager* disk, BufferPool* pool)
@@ -115,16 +159,14 @@ Result<PageId> BPlusTree::FindLeaf(int64_t key, std::vector<PageId>* path) {
   for (;;) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
-    VDB_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) return current;
-    if (path != nullptr) path->push_back(current);
+    const bool leaf = IsLeaf(*page);
     // Insertion descend: equal keys go right of the separator.
-    const size_t idx =
-        std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    const PageId child =
+        leaf ? kInvalidPageId : ChildAt(*page, Bound<true>(*page, key));
+    VDB_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
+    if (leaf) return current;
+    if (path != nullptr) path->push_back(current);
+    current = child;
   }
 }
 
@@ -140,6 +182,19 @@ Status BPlusTree::InsertIntoLeaf(PageId leaf_id, int64_t key, uint64_t value,
                                  std::vector<PageId>& path) {
   VDB_ASSIGN_OR_RETURN(Page * page,
                        pool_->FetchPage(leaf_id, AccessPattern::kRandom));
+  const uint16_t n = NumKeys(*page);
+  if (n < kLeafCapacity) {
+    // No split: open a slot at the insertion point of both arrays.
+    const size_t pos = Bound<true>(*page, key);
+    char* keys = page->data() + kKeysOff;
+    char* values = page->data() + kLeafValuesOff;
+    std::memmove(keys + 8 * (pos + 1), keys + 8 * pos, 8 * (n - pos));
+    std::memmove(values + 8 * (pos + 1), values + 8 * pos, 8 * (n - pos));
+    page->WriteAt<int64_t>(kKeysOff + 8 * pos, key);
+    page->WriteAt<uint64_t>(kLeafValuesOff + 8 * pos, value);
+    page->WriteAt<uint16_t>(kNumKeysOff, static_cast<uint16_t>(n + 1));
+    return pool_->UnpinPage(leaf_id, /*dirty=*/true);
+  }
   NodeView node;
   node.Load(*page);
   const size_t pos =
@@ -147,10 +202,6 @@ Status BPlusTree::InsertIntoLeaf(PageId leaf_id, int64_t key, uint64_t value,
       node.keys.begin();
   node.keys.insert(node.keys.begin() + pos, key);
   node.values.insert(node.values.begin() + pos, value);
-  if (node.keys.size() <= kLeafCapacity) {
-    node.Store(page);
-    return pool_->UnpinPage(leaf_id, /*dirty=*/true);
-  }
   // Split: right half moves to a new leaf.
   const size_t mid = node.keys.size() / 2;
   NodeView right;
@@ -234,33 +285,34 @@ Status BPlusTree::Delete(int64_t key, uint64_t value) {
   for (;;) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
+    const bool leaf = IsLeaf(*page);
+    const PageId child =
+        leaf ? kInvalidPageId : ChildAt(*page, Bound<false>(*page, key));
     VDB_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) break;
-    const size_t idx =
-        std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    if (leaf) break;
+    current = child;
   }
   while (current != kInvalidPageId) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
-    bool removed = false;
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      if (node.keys[i] == key && node.values[i] == value) {
-        node.keys.erase(node.keys.begin() + i);
-        node.values.erase(node.values.begin() + i);
-        node.Store(page);
-        removed = true;
-        break;
-      }
+    const uint16_t n = NumKeys(*page);
+    // Equal keys are adjacent, so the first match of (key, value) lies in
+    // the run starting at the lower bound.
+    size_t i = Bound<false>(*page, key);
+    while (i < n && KeyAt(*page, i) == key && LeafValueAt(*page, i) != value) {
+      ++i;
     }
-    const PageId next = node.next_leaf;
-    const bool past =
-        !removed && !node.keys.empty() && node.keys.front() > key;
+    const bool removed = i < n && KeyAt(*page, i) == key;
+    if (removed) {
+      // Close the slot; the last slot keeps its now-stale bytes.
+      char* keys = page->data() + kKeysOff;
+      char* values = page->data() + kLeafValuesOff;
+      std::memmove(keys + 8 * i, keys + 8 * (i + 1), 8 * (n - i - 1));
+      std::memmove(values + 8 * i, values + 8 * (i + 1), 8 * (n - i - 1));
+      page->WriteAt<uint16_t>(kNumKeysOff, static_cast<uint16_t>(n - 1));
+    }
+    const PageId next = NextLeaf(*page);
+    const bool past = !removed && n > 0 && KeyAt(*page, 0) > key;
     VDB_RETURN_NOT_OK(pool_->UnpinPage(current, removed));
     if (removed) {
       --num_entries_;
@@ -287,19 +339,13 @@ BPlusTree::Iterator BPlusTree::SeekGE(int64_t key) {
   for (;;) {
     auto page_result = pool_->FetchPage(current, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
+    const Page& page = **page_result;
+    const bool leaf = IsLeaf(page);
+    const size_t idx = Bound<false>(page, key);
+    const PageId child = leaf ? kInvalidPageId : ChildAt(page, idx);
     VDB_CHECK_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) {
-      const size_t idx =
-          std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-          node.keys.begin();
-      return Iterator(this, current, idx);
-    }
-    const size_t idx =
-        std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    if (leaf) return Iterator(this, current, idx);
+    current = child;
   }
 }
 
@@ -308,11 +354,11 @@ BPlusTree::Iterator BPlusTree::Begin() {
   for (;;) {
     auto page_result = pool_->FetchPage(current, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
+    const bool leaf = IsLeaf(**page_result);
+    const PageId child = leaf ? kInvalidPageId : ChildAt(**page_result, 0);
     VDB_CHECK_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) return Iterator(this, current, 0);
-    current = node.values.front();
+    if (leaf) return Iterator(this, current, 0);
+    current = child;
   }
 }
 
@@ -329,18 +375,18 @@ void BPlusTree::Iterator::LoadLeaf(PageId leaf, size_t start_index) {
   while (leaf != kInvalidPageId) {
     auto page_result = tree_->pool_->FetchPage(leaf, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
+    const Page& page = **page_result;
+    const uint16_t n = NumKeys(page);
+    next_leaf_ = NextLeaf(page);
+    for (size_t i = start_index; i < n; ++i) {
+      entries_.emplace_back(KeyAt(page, i), LeafValueAt(page, i));
+    }
     VDB_CHECK_OK(tree_->pool_->UnpinPage(leaf, /*dirty=*/false));
-    next_leaf_ = node.next_leaf;
-    if (start_index < node.keys.size()) {
-      for (size_t i = start_index; i < node.keys.size(); ++i) {
-        entries_.emplace_back(node.keys[i], node.values[i]);
-      }
+    if (!entries_.empty()) {
       valid_ = true;
       return;
     }
-    leaf = node.next_leaf;
+    leaf = next_leaf_;
     start_index = 0;
   }
   next_leaf_ = kInvalidPageId;

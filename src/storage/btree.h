@@ -81,7 +81,8 @@ class BPlusTree {
   // recording the path of internal page ids (for splits).
   Result<PageId> FindLeaf(int64_t key, std::vector<PageId>* path);
 
-  // Splits a full leaf; returns the separator key and new right page id.
+  // Inserts into the leaf in place; a full leaf splits and pushes its
+  // separator into the parent chain.
   Status InsertIntoLeaf(PageId leaf_id, int64_t key, uint64_t value,
                         std::vector<PageId>& path);
 

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -348,6 +352,215 @@ TEST_F(CatalogTest, AnalyzeAllAndTablesList) {
   for (TableInfo* table : catalog_.Tables()) {
     EXPECT_TRUE(table->stats.Analyzed());
   }
+}
+
+// --- ANALYZE and index back-fill against the per-tuple reference ----------
+
+// The per-tuple ANALYZE that Catalog::Analyze replaced: one boxed Tuple per
+// record and one hash-set node per distinct value. Kept as the reference
+// the streaming pass must match exactly.
+TableStats ReferenceAnalyze(TableInfo* table, int histogram_buckets) {
+  const size_t num_columns = table->schema.NumColumns();
+  std::vector<ColumnStats> stats(num_columns);
+  std::vector<std::vector<double>> keys(num_columns);
+  std::vector<std::unordered_set<size_t>> distinct(num_columns);
+  std::vector<double> width_sums(num_columns, 0.0);
+  uint64_t rows = 0;
+  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
+    auto tuple = DeserializeTuple(it.record(), table->schema);
+    VDB_CHECK(tuple.ok());
+    ++rows;
+    for (size_t c = 0; c < num_columns; ++c) {
+      const Value& value = (*tuple)[c];
+      if (value.is_null()) {
+        stats[c].null_count++;
+        continue;
+      }
+      stats[c].non_null_count++;
+      keys[c].push_back(value.NumericKey());
+      distinct[c].insert(value.Hash());
+      width_sums[c] += value.type() == TypeId::kString
+                           ? static_cast<double>(value.AsString().size())
+                           : 8.0;
+    }
+  }
+  for (size_t c = 0; c < num_columns; ++c) {
+    ColumnStats& cs = stats[c];
+    cs.ndv = distinct[c].size();
+    if (!keys[c].empty()) {
+      const auto [mn, mx] =
+          std::minmax_element(keys[c].begin(), keys[c].end());
+      cs.min = *mn;
+      cs.max = *mx;
+      cs.avg_width = width_sums[c] / static_cast<double>(cs.non_null_count);
+      cs.histogram = Histogram::Build(std::move(keys[c]), histogram_buckets);
+    }
+  }
+  TableStats result;
+  result.row_count = rows;
+  result.page_count = table->heap->NumPages();
+  result.columns = std::move(stats);
+  return result;
+}
+
+// Bitwise equality, so NaN keys and the sign of zero count.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameStats(const TableStats& actual, const TableStats& expected) {
+  EXPECT_EQ(actual.row_count, expected.row_count);
+  EXPECT_EQ(actual.page_count, expected.page_count);
+  ASSERT_EQ(actual.columns.size(), expected.columns.size());
+  for (size_t c = 0; c < actual.columns.size(); ++c) {
+    SCOPED_TRACE(::testing::Message() << "column " << c);
+    const ColumnStats& a = actual.columns[c];
+    const ColumnStats& e = expected.columns[c];
+    EXPECT_EQ(a.non_null_count, e.non_null_count);
+    EXPECT_EQ(a.null_count, e.null_count);
+    EXPECT_EQ(a.ndv, e.ndv);
+    EXPECT_TRUE(SameBits(a.min, e.min)) << a.min << " vs " << e.min;
+    EXPECT_TRUE(SameBits(a.max, e.max)) << a.max << " vs " << e.max;
+    EXPECT_TRUE(SameBits(a.avg_width, e.avg_width))
+        << a.avg_width << " vs " << e.avg_width;
+    const std::vector<double>& ab = a.histogram.bounds();
+    const std::vector<double>& eb = e.histogram.bounds();
+    ASSERT_EQ(ab.size(), eb.size());
+    for (size_t i = 0; i < ab.size(); ++i) {
+      EXPECT_TRUE(SameBits(ab[i], eb[i])) << "bound " << i;
+    }
+  }
+}
+
+// Live records grouped by heap page, in heap order.
+std::vector<std::vector<storage::RecordId>> RidsByPage(TableInfo* table) {
+  std::vector<std::vector<storage::RecordId>> pages;
+  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
+    if (pages.empty() || pages.back().front().page_id != it.rid().page_id) {
+      pages.emplace_back();
+    }
+    pages.back().push_back(it.rid());
+  }
+  return pages;
+}
+
+class AnalyzeEquivalenceTest : public CatalogTest {
+ protected:
+  // Every type, NULLs in each column, an all-NULL column, NaN and signed
+  // zero doubles, empty and long strings, then deletes that leave whole
+  // pages empty and holes in the rest.
+  TableInfo* MakeMixed() {
+    auto created = catalog_.CreateTable(
+        "mixed", Schema({Column("id", TypeId::kInt64),
+                         Column("d", TypeId::kDouble),
+                         Column("s", TypeId::kString),
+                         Column("day", TypeId::kDate),
+                         Column("flag", TypeId::kBool),
+                         Column("none", TypeId::kInt64)}));
+    VDB_CHECK(created.ok());
+    TableInfo* table = *created;
+    Random rng(11);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (int i = 0; i < 3000; ++i) {
+      Value d = Value::Double(rng.UniformDouble(-5.0, 5.0));
+      if (i % 13 == 0) d = Value::Double(nan);
+      if (i % 17 == 0) d = Value::Double(i % 2 == 0 ? 0.0 : -0.0);
+      if (i % 19 == 0) d = Value::Null(TypeId::kDouble);
+      Value s = Value::String(std::string(rng.Uniform(40), 'a' + i % 26));
+      if (i % 7 == 0) s = Value::Null(TypeId::kString);
+      const Tuple tuple{
+          i % 23 == 0 ? Value::Null(TypeId::kInt64)
+                      : Value::Int64(rng.UniformInt(-500, 500)),
+          d, s, Value::Date(rng.UniformInt(8000, 8400)),
+          i % 11 == 0 ? Value::Null(TypeId::kBool)
+                      : Value::Bool(rng.Bernoulli(0.3)),
+          Value::Null(TypeId::kInt64)};
+      VDB_CHECK_OK(catalog_.Insert(table, tuple));
+    }
+    const auto pages = RidsByPage(table);
+    VDB_CHECK(pages.size() > 6);
+    for (size_t p = 0; p < pages.size(); ++p) {
+      for (size_t r = 0; r < pages[p].size(); ++r) {
+        if (p == 2 || p == 5 || p + 1 == pages.size() || r % 5 == 0) {
+          VDB_CHECK_OK(catalog_.Delete(table, pages[p][r]));
+        }
+      }
+    }
+    return table;
+  }
+};
+
+TEST_F(AnalyzeEquivalenceTest, MixedTableWithDeletesAndEmptyPages) {
+  TableInfo* table = MakeMixed();
+  for (const int buckets : {1, 8, 32}) {
+    SCOPED_TRACE(::testing::Message() << "buckets " << buckets);
+    ASSERT_TRUE(catalog_.Analyze(table, buckets).ok());
+    ExpectSameStats(table->stats, ReferenceAnalyze(table, buckets));
+  }
+  // The all-NULL column has no keys at all.
+  EXPECT_EQ(table->stats.columns[5].non_null_count, 0u);
+  EXPECT_TRUE(table->stats.columns[5].histogram.empty());
+}
+
+TEST_F(AnalyzeEquivalenceTest, EmptyAndFullyDeletedTables) {
+  auto empty = catalog_.CreateTable(
+      "empty", Schema({Column("x", TypeId::kInt64),
+                       Column("y", TypeId::kString)}));
+  ASSERT_TRUE(empty.ok());
+  ASSERT_TRUE(catalog_.Analyze(*empty).ok());
+  ExpectSameStats((*empty)->stats, ReferenceAnalyze(*empty, 32));
+  EXPECT_TRUE((*empty)->stats.Analyzed());
+
+  TableInfo* people = MakePeople();
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(catalog_
+                    .Insert(people, Tuple{Value::Int64(i), Value::Int64(i % 9),
+                                          Value::String("p")})
+                    .ok());
+  }
+  for (const auto& page : RidsByPage(people)) {
+    for (const storage::RecordId rid : page) {
+      ASSERT_TRUE(catalog_.Delete(people, rid).ok());
+    }
+  }
+  ASSERT_TRUE(catalog_.Analyze(people).ok());
+  ExpectSameStats(people->stats, ReferenceAnalyze(people, 32));
+  EXPECT_EQ(people->stats.row_count, 0u);
+  EXPECT_GT(people->stats.page_count, 0u);
+}
+
+TEST_F(AnalyzeEquivalenceTest, BackfillSkipsNullKeysAndDeletedSlots) {
+  TableInfo* table = MakeMixed();
+  // Live, non-NULL keys in heap order; the tree returns them by key with
+  // equal keys in insertion (heap) order.
+  std::vector<std::pair<int64_t, uint64_t>> expected;
+  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
+    auto tuple = DeserializeTuple(it.record(), table->schema);
+    ASSERT_TRUE(tuple.ok());
+    if ((*tuple)[0].is_null()) continue;
+    expected.emplace_back((*tuple)[0].AsInt64(), it.rid().Pack());
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  auto index = catalog_.CreateIndex("mixed_id", "mixed", "id");
+  ASSERT_TRUE(index.ok());
+  std::vector<std::pair<int64_t, uint64_t>> actual;
+  for (auto it = (*index)->tree->Begin(); it.Valid(); it.Next()) {
+    actual.emplace_back(it.key(), it.value());
+  }
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ((*index)->tree->NumEntries(), expected.size());
+
+  // An index over the all-NULL column stays empty; a DATE index holds
+  // every live row.
+  auto none = catalog_.CreateIndex("mixed_none", "mixed", "none");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ((*none)->tree->NumEntries(), 0u);
+  auto day = catalog_.CreateIndex("mixed_day", "mixed", "day");
+  ASSERT_TRUE(day.ok());
+  EXPECT_EQ((*day)->tree->NumEntries(), table->heap->NumRecords());
 }
 
 }  // namespace

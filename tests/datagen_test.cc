@@ -246,5 +246,130 @@ TEST_F(TpchTest, StatisticsAnalyzed) {
   EXPECT_EQ(orders->stats.columns[priority_col].ndv, 5u);
 }
 
+// --- Byte identity of ingest -------------------------------------------------
+//
+// Every simulated charge downstream of a load depends on what the load
+// builds: heap and index page images, page ids, buffer-pool counters,
+// index shapes and ANALYZE statistics. These tests pin all of them for a
+// TPC-H load and a calibration database, so ingest may get faster but may
+// not change a byte of its output.
+
+uint64_t Fnv1a(const void* data, size_t n, uint64_t hash) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
+
+uint64_t DiskDigest(const storage::DiskManager& disk) {
+  uint64_t hash = kFnvOffset;
+  storage::Page page;
+  for (storage::PageId id = 0; id < disk.NumPages(); ++id) {
+    disk.ReadPage(id, &page);
+    hash = Fnv1a(page.data(), storage::kPageSize, hash);
+  }
+  return hash;
+}
+
+// Digest of the bit patterns of every statistic, histogram bounds included.
+uint64_t StatsDigest(const catalog::TableStats& stats) {
+  uint64_t hash = kFnvOffset;
+  auto fold = [&hash](const auto& v) { hash = Fnv1a(&v, sizeof(v), hash); };
+  for (const catalog::ColumnStats& c : stats.columns) {
+    fold(c.non_null_count);
+    fold(c.null_count);
+    fold(c.ndv);
+    fold(c.min);
+    fold(c.max);
+    fold(c.avg_width);
+    fold(c.histogram.bounds().size());
+    for (const double bound : c.histogram.bounds()) fold(bound);
+  }
+  return hash;
+}
+
+// Pool counters (taken before the flush), the digest of every disk page
+// after it, then one line per table (with its statistics digest) and per
+// index.
+std::string DescribeIngest(const Catalog& cat, storage::BufferPool* pool,
+                           const storage::DiskManager& disk) {
+  const storage::BufferPoolStats stats = pool->stats();
+  pool->FlushAll();
+  std::string out = "hits=" + std::to_string(stats.hits) +
+                    " seq=" + std::to_string(stats.sequential_misses) +
+                    " rand=" + std::to_string(stats.random_misses) +
+                    " writes=" + std::to_string(stats.page_writes) +
+                    " disk_pages=" + std::to_string(disk.NumPages()) +
+                    " digest=" + std::to_string(DiskDigest(disk)) + "\n";
+  for (const TableInfo* table : cat.Tables()) {
+    out += table->name + " rows=" + std::to_string(table->stats.row_count) +
+           " pages=" + std::to_string(table->stats.page_count) +
+           " stats=" + std::to_string(StatsDigest(table->stats)) + "\n";
+    for (const catalog::IndexInfo* index : table->indexes) {
+      out += "  " + index->name +
+             " pages=" + std::to_string(index->tree->NumPages()) +
+             " height=" + std::to_string(index->tree->Height()) +
+             " entries=" + std::to_string(index->tree->NumEntries()) + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(IngestIdentityTest, TpchScaleFactor001) {
+  // 1024 frames hold about a third of the load, so the pool evicts
+  // throughout: the counters also pin the order of every fetch and unpin.
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 1024);
+  Catalog cat(&disk, &pool);
+  TpchConfig config;
+  config.scale_factor = 0.01;
+  ASSERT_TRUE(GenerateTpch(&cat, config).ok());
+  EXPECT_EQ(DescribeIngest(cat, &pool, disk),
+            "hits=811620 seq=5708 rand=2394 writes=2394 disk_pages=2394"
+            " digest=8371054271700871197\n"
+            "region rows=5 pages=1 stats=11783969314389223338\n"
+            "  region_pk pages=1 height=1 entries=5\n"
+            "nation rows=25 pages=1 stats=2626750372383689404\n"
+            "  nation_pk pages=1 height=1 entries=25\n"
+            "supplier rows=100 pages=1 stats=5191862344382065609\n"
+            "  supplier_pk pages=1 height=1 entries=100\n"
+            "customer rows=1500 pages=19 stats=3390938014930788719\n"
+            "  customer_pk pages=6 height=2 entries=1500\n"
+            "part rows=2000 pages=24 stats=4710363117455794479\n"
+            "  part_pk pages=8 height=2 entries=2000\n"
+            "partsupp rows=8000 pages=40 stats=17473910826548286348\n"
+            "  partsupp_part pages=32 height=2 entries=8000\n"
+            "  partsupp_supp pages=22 height=2 entries=8000\n"
+            "orders rows=15000 pages=232 stats=398473649702574690\n"
+            "  orders_pk pages=60 height=2 entries=15000\n"
+            "  orders_cust pages=41 height=2 entries=15000\n"
+            "  orders_date pages=40 height=2 entries=15000\n"
+            "lineitem rows=59412 pages=1295 stats=530884424160165162\n"
+            "  lineitem_order pages=238 height=2 entries=59412\n"
+            "  lineitem_part pages=163 height=2 entries=59412\n"
+            "  lineitem_shipdate pages=168 height=2 entries=59412\n");
+}
+
+TEST(IngestIdentityTest, CalibrationDb) {
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 128);
+  Catalog cat(&disk, &pool);
+  CalibrationDbConfig config;
+  config.base_rows = 3000;
+  ASSERT_TRUE(GenerateCalibrationDb(&cat, config).ok());
+  EXPECT_EQ(DescribeIngest(cat, &pool, disk),
+            "hits=47113 seq=418 rand=439 writes=439 disk_pages=439"
+            " digest=427237373580344736\n"
+            "cal_small rows=3000 pages=42 stats=4641159462060985662\n"
+            "cal_large rows=24000 pages=334 stats=4589052174799219946\n"
+            "cal_indexed rows=3000 pages=42 stats=2942513069740149322\n"
+            "  cal_indexed_a pages=12 height=2 entries=3000\n"
+            "  cal_indexed_b pages=9 height=2 entries=3000\n");
+}
+
 }  // namespace
 }  // namespace vdb::datagen

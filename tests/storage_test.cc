@@ -440,6 +440,157 @@ TEST_F(BTreeTest, WorksWithTinyBufferPool) {
   EXPECT_GT(pool.stats().Misses(), 0u);
 }
 
+// --- Byte identity of tree builds ------------------------------------------
+//
+// Index builds are part of the simulated workload: their page images, page
+// ids and buffer-pool counters feed every later charge. These tests pin
+// them for fixed insert sequences, so a change to how nodes are searched or
+// edited must leave every byte (stale bytes past a node's key count
+// included) and every pool counter as it was.
+
+uint64_t Fnv1a(const char* data, size_t n, uint64_t hash) {
+  for (size_t i = 0; i < n; ++i) {
+    hash ^= static_cast<uint8_t>(data[i]);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+uint64_t DiskDigest(const DiskManager& disk) {
+  uint64_t hash = 14695981039346656037ULL;
+  Page page;
+  for (PageId id = 0; id < disk.NumPages(); ++id) {
+    disk.ReadPage(id, &page);
+    hash = Fnv1a(page.data(), kPageSize, hash);
+  }
+  return hash;
+}
+
+// Tree shape and pool counters, then the digest of every page after a
+// flush (the counters are taken before it).
+std::string Snapshot(const BPlusTree& tree, BufferPool* pool,
+                     const DiskManager& disk) {
+  const BufferPoolStats stats = pool->stats();
+  pool->FlushAll();
+  return "pages=" + std::to_string(tree.NumPages()) +
+         " height=" + std::to_string(tree.Height()) +
+         " entries=" + std::to_string(tree.NumEntries()) +
+         " hits=" + std::to_string(stats.hits) +
+         " seq=" + std::to_string(stats.sequential_misses) +
+         " rand=" + std::to_string(stats.random_misses) +
+         " writes=" + std::to_string(stats.page_writes) +
+         " digest=" + std::to_string(DiskDigest(disk)) + "\n";
+}
+
+// Inserts (keys[i], i) for every i, deletes every third entry, and checks
+// SeekGE walks against a reference multimap (equal keys in insertion
+// order). Returns the snapshots after the inserts and after the deletes.
+std::string BuildDeleteAndSeek(const std::vector<int64_t>& keys,
+                               uint64_t frames) {
+  DiskManager disk;
+  BufferPool pool(&disk, frames);
+  BPlusTree tree(&disk, &pool);
+  std::multimap<int64_t, uint64_t> reference;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(tree.Insert(keys[i], i).ok());
+    reference.emplace(keys[i], i);
+  }
+  std::string out = Snapshot(tree, &pool, disk);
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    EXPECT_TRUE(tree.Delete(keys[i], i).ok()) << "entry " << i;
+    auto [lo, hi] = reference.equal_range(keys[i]);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == i) {
+        reference.erase(it);
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(tree.Delete(keys[0], 0).IsNotFound());
+  EXPECT_EQ(tree.NumEntries(), reference.size());
+  const auto [min_key, max_key] = std::minmax_element(keys.begin(), keys.end());
+  std::vector<int64_t> probes = {*min_key - 1, *max_key, *max_key + 1};
+  for (size_t i = 1; i < keys.size(); i += 97) probes.push_back(keys[i]);
+  for (const int64_t probe : probes) {
+    auto expected = reference.lower_bound(probe);
+    auto it = tree.SeekGE(probe);
+    // 600 steps cross at least one leaf boundary (leaves hold <= 500).
+    for (int step = 0; step < 600 && expected != reference.end();
+         ++step, ++expected, it.Next()) {
+      if (!it.Valid() || it.key() != expected->first ||
+          it.value() != expected->second) {
+        ADD_FAILURE() << "SeekGE(" << probe << ") diverges at step " << step;
+        break;
+      }
+    }
+    if (expected == reference.end()) {
+      EXPECT_FALSE(it.Valid()) << "SeekGE(" << probe << ") overruns";
+    }
+  }
+  return out + Snapshot(tree, &pool, disk);
+}
+
+std::vector<int64_t> RandomKeysWithDuplicates() {
+  Random rng(29);
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 5000; ++i) keys.push_back(rng.UniformInt(0, 999));
+  return keys;
+}
+
+TEST(BTreeShapeTest, AscendingKeys) {
+  std::vector<int64_t> keys(5000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  EXPECT_EQ(BuildDeleteAndSeek(keys, 64),
+            "pages=20 height=2 entries=5000 hits=14535 seq=0 rand=20 writes=0"
+            " digest=17756702753778455972\n"
+            "pages=20 height=2 entries=3333 hits=19869 seq=0 rand=20 writes=20"
+            " digest=15727177685200588501\n");
+}
+
+TEST(BTreeShapeTest, DescendingKeys) {
+  std::vector<int64_t> keys(5000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<int64_t>(keys.size() - i);
+  }
+  EXPECT_EQ(BuildDeleteAndSeek(keys, 64),
+            "pages=20 height=2 entries=5000 hits=14535 seq=0 rand=20 writes=0"
+            " digest=8061717653317785852\n"
+            "pages=20 height=2 entries=3333 hits=19873 seq=0 rand=20 writes=20"
+            " digest=10799499347855353414\n");
+}
+
+TEST(BTreeShapeTest, RandomKeysWithDuplicates) {
+  EXPECT_EQ(BuildDeleteAndSeek(RandomKeysWithDuplicates(), 64),
+            "pages=17 height=2 entries=5000 hits=14529 seq=0 rand=17 writes=0"
+            " digest=12836373519739202312\n"
+            "pages=17 height=2 entries=3333 hits=19863 seq=0 rand=17 writes=17"
+            " digest=15368451052241325900\n");
+}
+
+TEST(BTreeShapeTest, RandomKeysWithDuplicatesThreeFramePool) {
+  EXPECT_EQ(BuildDeleteAndSeek(RandomKeysWithDuplicates(), 3),
+            "pages=17 height=2 entries=5000"
+            " hits=11405 seq=0 rand=3141 writes=2918"
+            " digest=12836373519739202312\n"
+            "pages=17 height=2 entries=3333"
+            " hits=14972 seq=0 rand=4908 writes=4347"
+            " digest=15368451052241325900\n");
+}
+
+TEST(BTreeShapeTest, ThreeLevelTreeSplitsInternalNodes) {
+  // Ascending inserts leave leaves half full, so 150K keys need > 500
+  // leaves: the root splits once more and the tree grows to three levels.
+  std::vector<int64_t> keys(150000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  EXPECT_EQ(BuildDeleteAndSeek(keys, 16),
+            "pages=602 height=3 entries=150000"
+            " hits=475192 seq=0 rand=606 writes=590"
+            " digest=7658786559059015002\n"
+            "pages=602 height=3 entries=100000"
+            " hits=685938 seq=0 rand=1812 writes=1204"
+            " digest=11958834667821968508\n");
+}
+
 // Property test: tree contents always match a reference multimap across a
 // random interleaving of inserts and deletes, for several seeds.
 class BTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
